@@ -3,7 +3,8 @@
 Models the parts of P4 and of programmable switch hardware that the paper's
 techniques are shaped by: fixed-width wrapping unsigned arithmetic with no
 division (:mod:`repro.p4.values`), byte-exact packet parsing
-(:mod:`repro.p4.packet`, :mod:`repro.p4.headers`), register arrays
+(:mod:`repro.p4.packet`, :mod:`repro.p4.headers`) and its columnar
+counterpart for the batched path (:mod:`repro.p4.decode`), register arrays
 (:mod:`repro.p4.registers`), match-action tables with exact/LPM/ternary
 matching and runtime entry management (:mod:`repro.p4.tables`), a
 parser→ingress→egress pipeline with dependency accounting

@@ -134,9 +134,9 @@ class SyntheticSource:
         self.timestamp_gap = timestamp_gap
         self.loop = loop
         self._pacer = pacer
+        self._parser = standard_parser()
 
     def _build_batch(self, start: int, count: int, epoch: int) -> PacketBatch:
-        parser = standard_parser()
         base = epoch * self.packets
         packets = []
         timestamps = []
@@ -149,7 +149,7 @@ class SyntheticSource:
             when = (base + index) * self.timestamp_gap
             packets.append(udp_to(dst, created_at=when))
             timestamps.append(when)
-        return PacketBatch.from_packets(packets, parser, timestamps=timestamps)
+        return PacketBatch.from_packets(packets, self._parser, timestamps=timestamps)
 
     def __iter__(self) -> Iterator[PacketBatch]:
         epoch = 0

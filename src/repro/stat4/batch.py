@@ -15,8 +15,10 @@ and working state bit-identical to the scalar path* (the paper's
 integer-only semantics are the spec; differential tests enforce equality):
 
 - :class:`PacketBatch` — a structure-of-arrays view of many packets
-  (timestamps, binding keys, per-source value columns), built from parsed
-  contexts, raw packets, a recorded trace, or synthetic columns;
+  (timestamps, binding keys, per-source value columns), built from wire
+  frames (raw packets or a recorded trace, decoded by the parser's
+  compiled :mod:`repro.p4.decode` layout), parsed contexts, or synthetic
+  columns;
 - :class:`BatchEngine` — applies a batch to a :class:`Stat4` instance.
   Binding lookups are memoized per unique key (entries are fixed for the
   duration of a batch, exactly like a pipeline between control-plane
@@ -73,8 +75,10 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import array as _array
 
-from repro.p4.switch import Digest, PacketContext, StandardMetadata
-from repro.stat4.binding import TRACK_ACTION, binding_key_of
+from repro.p4.decode import Layout, decoder_for
+from repro.p4.parser import Parser
+from repro.p4.switch import Digest, PacketContext
+from repro.stat4.binding import BINDING_KEY_FIELDS, TRACK_ACTION, binding_key_of
 from repro.stat4.distributions import DistributionKind, TrackSpec
 from repro.stat4.library import Stat4, _to_us
 from repro.traffic.columns import ColumnStore, slice_backing
@@ -99,6 +103,7 @@ __all__ = [
 Column = List[Optional[int]]
 
 _FRAME_SIZE = "frame.size"
+_META_FRAME_BYTES = "meta.frame_bytes"
 _CONSTANT = "const"
 
 #: Memoization miss sentinel (lookup results may legitimately be None).
@@ -134,17 +139,28 @@ def resolve_backend(backend: str = "auto") -> str:
 class PacketBatch:
     """A structure-of-arrays view of many packets.
 
+    Three kinds of batch share this class:
+
+    - **wire batches** (:meth:`from_packets`, :meth:`from_trace`): frame
+      bytes decoded by the parser's compiled
+      :class:`~repro.p4.decode.WireDecoder` in one pass.  Each row keeps
+      its frame and path id, and ``raw_column("hdr.field")`` slices the
+      field out of the bytes on first use; no header object is built;
+    - **context batches** (:meth:`from_contexts`): columns read from
+      already-parsed :class:`PacketContext` objects;
+    - **synthetic batches**: columns handed in directly.
+
     Args:
         timestamps: per-packet switch-local times (seconds).
         keys: per-packet composite binding keys
             ``(ether_type, ipv4_dst, ip_protocol, tcp_flags)``.
         contexts: the parsed contexts backing the batch (value columns are
-            derived lazily from them); None for synthetic batches.
+            derived lazily from them); None otherwise.
         columns: raw per-source value columns for synthetic batches —
             ``{"ipv4.dst": [...], "meta.v": [...]}``, each one optional int
             per packet, None meaning the header/metadata is absent.
-        frame_bytes: per-packet frame sizes for synthetic batches (defaults
-            to 0 per packet, mirroring ``ctx.user.get("frame_bytes", 0)``).
+        frame_bytes: per-packet frame sizes (defaults to 0 per packet,
+            mirroring ``ctx.user.get("frame_bytes", 0)``).
     """
 
     __slots__ = (
@@ -152,6 +168,9 @@ class PacketBatch:
         "keys",
         "contexts",
         "frame_bytes",
+        "frames",
+        "paths",
+        "layouts",
         "parse_errors",
         "_raw_columns",
         "_value_columns",
@@ -173,6 +192,11 @@ class PacketBatch:
         self.keys: List[Tuple[int, int, int, int]] = list(keys)
         self.contexts = list(contexts) if contexts is not None else None
         self.frame_bytes = list(frame_bytes) if frame_bytes is not None else None
+        #: Wire batches: each row's frame bytes, its path id, and the
+        #: decoder's path table the ids index (None otherwise).
+        self.frames: Optional[List[bytes]] = None
+        self.paths: Optional[List[int]] = None
+        self.layouts: Optional[List[Layout]] = None
         self.parse_errors = 0
         self._raw_columns: Dict[str, Column] = dict(columns or {})
         self._value_columns: Dict[Tuple[Any, int, int], Column] = {}
@@ -197,85 +221,71 @@ class PacketBatch:
     def from_packets(
         cls,
         packets: Sequence[Any],
-        parser: Any,
+        parser: Parser,
         timestamps: Optional[Sequence[float]] = None,
-        ingress_port: int = 0,
     ) -> "PacketBatch":
-        """Parse raw packets into a batch.
+        """Decode raw packets into a wire batch.
 
-        Frames the parser rejects are skipped and counted in
-        ``parse_errors`` — the same packets a :class:`BehavioralSwitch`
-        drops before its ingress (and before ``Stat4.process``) ever runs.
+        Reads ``packet.data``; timestamps default to ``packet.created_at``.
+        Frames ``parser.parse`` would reject with ``ParseError`` are
+        skipped and counted in ``parse_errors`` — the same packets a
+        :class:`BehavioralSwitch` drops before its ingress (and before
+        ``Stat4.process``) ever runs.  Any other error propagates.
         """
-        contexts: List[PacketContext] = []
-        skipped = 0
-        for index, packet in enumerate(packets):
-            when = (
-                timestamps[index]
-                if timestamps is not None
-                else getattr(packet, "created_at", 0.0)
-            )
-            try:
-                parsed = parser.parse(packet)
-            except Exception:
-                skipped += 1
-                continue
-            ctx = PacketContext(
-                parsed=parsed,
-                meta=StandardMetadata(ingress_port=ingress_port, timestamp=when),
-            )
-            ctx.user["frame_bytes"] = len(packet)
-            contexts.append(ctx)
-        batch = cls.from_contexts(contexts)
-        batch.parse_errors = skipped
-        return batch
+        if timestamps is None:
+            timestamps = [getattr(packet, "created_at", 0.0) for packet in packets]
+        return cls._from_wire(parser, [packet.data for packet in packets], timestamps)
 
     @classmethod
-    def from_trace(
-        cls, records: Iterable[Any], parser: Any, ingress_port: int = 0
-    ) -> "PacketBatch":
-        """Build a batch from :class:`~repro.traffic.trace.TraceRecord`s."""
-        from repro.p4.packet import Packet
-
+    def from_trace(cls, records: Iterable[Any], parser: Parser) -> "PacketBatch":
+        """Decode :class:`~repro.traffic.trace.TraceRecord`s into a wire
+        batch (``record.data`` at ``record.timestamp``)."""
         records = list(records)
-        packets = [
-            Packet(record.data, created_at=record.timestamp) for record in records
-        ]
-        return cls.from_packets(
-            packets,
+        return cls._from_wire(
             parser,
-            timestamps=[record.timestamp for record in records],
-            ingress_port=ingress_port,
+            [record.data for record in records],
+            [record.timestamp for record in records],
         )
+
+    @classmethod
+    def _from_wire(
+        cls, parser: Parser, frames: Sequence[Any], timestamps: Sequence[float]
+    ) -> "PacketBatch":
+        decoder = decoder_for(parser, BINDING_KEY_FIELDS)
+        decoded = decoder.decode(frames, timestamps)
+        batch = cls(decoded.timestamps, decoded.keys, frame_bytes=decoded.sizes)
+        batch.frames = decoded.frames
+        batch.paths = decoded.paths
+        batch.layouts = decoder.layouts
+        batch.parse_errors = decoded.rejected
+        return batch
 
     def select(self, indices: Sequence[int]) -> "PacketBatch":
         """A new batch holding the given rows, in the given order.
 
         The shard router uses this to split one ingest batch into
-        per-owner sub-batches: every backing column (contexts, raw value
-        columns, frame sizes) is subset consistently, so a sub-batch
-        behaves exactly like a batch built from those packets alone.
-        ``parse_errors`` stays with the original batch — the dropped frames
-        never made it into any row.
+        per-owner sub-batches: every backing column (contexts, frames and
+        path ids, raw value columns, frame sizes) is subset consistently,
+        so a sub-batch behaves exactly like a batch built from those
+        packets alone.  ``parse_errors`` stays with the original batch —
+        the dropped frames never made it into any row.
         """
+
+        def pick(column: Optional[List[Any]]) -> Optional[List[Any]]:
+            return None if column is None else [column[i] for i in indices]
+
         subset = PacketBatch(
-            timestamps=[self.timestamps[i] for i in indices],
-            keys=[self.keys[i] for i in indices],
-            contexts=(
-                [self.contexts[i] for i in indices]
-                if self.contexts is not None
-                else None
-            ),
+            timestamps=pick(self.timestamps),
+            keys=pick(self.keys),
+            contexts=pick(self.contexts),
             columns={
-                source: [column[i] for i in indices]
-                for source, column in self._raw_columns.items()
+                source: pick(column) for source, column in self._raw_columns.items()
             },
-            frame_bytes=(
-                [self.frame_bytes[i] for i in indices]
-                if self.frame_bytes is not None
-                else None
-            ),
+            frame_bytes=pick(self.frame_bytes),
         )
+        subset.frames = pick(self.frames)
+        subset.paths = pick(self.paths)
+        subset.layouts = self.layouts
         return subset
 
     def slice_view(self, start: int, stop: int) -> "PacketBatch":
@@ -290,15 +300,18 @@ class PacketBatch:
         through this, so chunking a batch for fan-out does no per-element
         Python work and no column data movement.
         """
+
+        def window(column: Optional[List[Any]]) -> Optional[List[Any]]:
+            return None if column is None else column[start:stop]
+
         sub = PacketBatch.__new__(PacketBatch)
         sub.timestamps = self.timestamps[start:stop]
         sub.keys = self.keys[start:stop]
-        sub.contexts = (
-            self.contexts[start:stop] if self.contexts is not None else None
-        )
-        sub.frame_bytes = (
-            self.frame_bytes[start:stop] if self.frame_bytes is not None else None
-        )
+        sub.contexts = window(self.contexts)
+        sub.frame_bytes = window(self.frame_bytes)
+        sub.frames = window(self.frames)
+        sub.paths = window(self.paths)
+        sub.layouts = self.layouts
         sub.parse_errors = 0
         sub._raw_columns = {
             source: column[start:stop]
@@ -323,35 +336,58 @@ class PacketBatch:
 
         Mirrors :meth:`repro.stat4.extract.ExtractSpec.extract` exactly:
         missing headers/metadata yield None, ``frame.size`` defaults to 0.
+        A wire batch's frame size is also its ``meta.frame_bytes`` (what
+        the switch records per frame); it carries no other metadata.
         """
         column = self._raw_columns.get(source)
         if column is not None:
             return column
-        if self.contexts is None:
-            # Synthetic batch without this source: the header/metadata is
-            # absent on every packet (frame sizes default to zero).
-            if source == _FRAME_SIZE:
-                column = list(self.frame_bytes or [0] * len(self))
-            else:
-                column = [None] * len(self)
-        elif source == _FRAME_SIZE:
-            column = [ctx.user.get("frame_bytes", 0) for ctx in self.contexts]
-        elif source.startswith("meta."):
-            key = source[5:]
-            column = [ctx.user.get(key) for ctx in self.contexts]
+        if self.contexts is not None:
+            column = self._context_column(source)
+        elif source == _FRAME_SIZE or (
+            self.frames is not None and source == _META_FRAME_BYTES
+        ):
+            column = list(self.frame_bytes or [0] * len(self))
+        elif self.frames is not None and not source.startswith("meta."):
+            column = self._wire_column(source)
         else:
-            header_name, _, field_name = source.partition(".")
-            column = []
-            append = column.append
-            for ctx in self.contexts:
-                # The hot path of ExtractSpec.extract with the per-call
-                # validity and field-spec lookups flattened out.
-                header = ctx.parsed.headers.get(header_name)
-                if header is None or not header._valid:
-                    append(None)
-                else:
-                    append(header._values[field_name].value)
+            # The header/metadata is absent on every packet.
+            column = [None] * len(self)
         self._raw_columns[source] = column
+        return column
+
+    def _context_column(self, source: str) -> Column:
+        if source == _FRAME_SIZE:
+            return [ctx.user.get("frame_bytes", 0) for ctx in self.contexts]
+        if source.startswith("meta."):
+            key = source[5:]
+            return [ctx.user.get(key) for ctx in self.contexts]
+        header_name, _, field_name = source.partition(".")
+        column: Column = []
+        append = column.append
+        for ctx in self.contexts:
+            # The hot path of ExtractSpec.extract with the per-call
+            # validity and field-spec lookups flattened out.
+            header = ctx.parsed.headers.get(header_name)
+            if header is None or not header._valid:
+                append(None)
+            else:
+                append(header._values[field_name].value)
+        return column
+
+    def _wire_column(self, source: str) -> Column:
+        """Read one header field out of each row's frame bytes."""
+        layouts = self.layouts
+        readers = {path: layouts[path].field(source) for path in set(self.paths)}
+        column: Column = []
+        append = column.append
+        for frame, path in zip(self.frames, self.paths):
+            reader = readers[path]
+            if reader is None:
+                append(None)
+            else:
+                unpack, at, shift, mask = reader
+                append((unpack(frame, at)[0] >> shift) & mask)
         return column
 
     def values_for(self, spec: TrackSpec) -> Column:

@@ -31,6 +31,7 @@ __all__ = [
     "MATCH_ALL",
     "build_binding_table",
     "binding_key_of",
+    "BINDING_KEY_FIELDS",
     "TRACK_ACTION",
 ]
 
@@ -107,6 +108,16 @@ def build_binding_table(stage: int, max_size: int = 64) -> Table:
     )
 
 
+#: The composite lookup key, ``(header, field)`` in key order.  The wire
+#: decoder (:mod:`repro.p4.decode`) reads the same fields out of frame bytes.
+BINDING_KEY_FIELDS: Tuple[Tuple[str, str], ...] = (
+    ("ethernet", "ether_type"),
+    ("ipv4", "dst"),
+    ("ipv4", "protocol"),
+    ("tcp", "flags"),
+)
+
+
 def binding_key_of(ctx: PacketContext) -> Tuple[int, int, int, int]:
     """Assemble the composite lookup key from a parsed packet.
 
@@ -115,8 +126,7 @@ def binding_key_of(ctx: PacketContext) -> Tuple[int, int, int, int]:
     by guarding with validity bits folded into the ternary mask.
     """
     parsed = ctx.parsed
-    ether_type = parsed["ethernet"].get("ether_type") if parsed.has("ethernet") else 0
-    dst = parsed["ipv4"].get("dst") if parsed.has("ipv4") else 0
-    protocol = parsed["ipv4"].get("protocol") if parsed.has("ipv4") else 0
-    flags = parsed["tcp"].get("flags") if parsed.has("tcp") else 0
-    return (ether_type, dst, protocol, flags)
+    return tuple(
+        parsed[header].get(name) if parsed.has(header) else 0
+        for header, name in BINDING_KEY_FIELDS
+    )

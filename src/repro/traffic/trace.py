@@ -27,6 +27,12 @@ __all__ = ["TraceRecord", "PacketTrace", "TraceTap", "TraceReplayer"]
 
 #: Classic pcap global header: magic, v2.4, UTC, 0 sigfigs, snaplen, ethernet.
 _PCAP_MAGIC = 0xA1B2C3D4
+#: Nanosecond-resolution classic pcap (read only).
+_PCAP_MAGIC_NS = 0xA1B23C4D
+#: Sub-second units per second, by magic.
+_FRACTION_SCALE = {_PCAP_MAGIC: 1_000_000, _PCAP_MAGIC_NS: 1_000_000_000}
+#: pcapng's section header block type (the same bytes in either order).
+_PCAPNG_MAGIC = b"\x0a\x0d\x0d\x0a"
 _PCAP_VERSION = (2, 4)
 _LINKTYPE_ETHERNET = 1
 _GLOBAL_HEADER = struct.Struct("<IHHiIII")
@@ -71,23 +77,22 @@ class PacketTrace:
         for start in range(0, len(self.records), size):
             yield self.records[start : start + size]
 
-    def iter_packet_batches(
-        self, parser: Any, size: int, ingress_port: int = 0
-    ) -> Iterator[Any]:
-        """Yield parsed :class:`~repro.stat4.batch.PacketBatch` chunks.
+    def iter_packet_batches(self, parser: Any, size: int) -> Iterator[Any]:
+        """Yield decoded :class:`~repro.stat4.batch.PacketBatch` chunks.
 
-        The zero-copy pipeline entry point: each chunk of records is
-        parsed once into a columnar batch (value columns and their
-        :class:`~repro.traffic.columns.ColumnStore` encodings are built
-        lazily, then sliced as views by the parallel engine), ready for
+        The pipeline entry point from wire bytes: each chunk of records is
+        decoded in one pass by the parser's compiled
+        :class:`~repro.p4.decode.WireDecoder` — timestamps, frame sizes
+        and binding keys at once, header fields sliced from the frame
+        bytes only when a binding reads them — ready for
         ``BatchEngine.process`` / ``ParallelBatchEngine.process``.
+        Frames the parser rejects are counted in each batch's
+        ``parse_errors``.
         """
         from repro.stat4.batch import PacketBatch
 
         for chunk in self.iter_batches(size):
-            yield PacketBatch.from_trace(
-                chunk, parser, ingress_port=ingress_port
-            )
+            yield PacketBatch.from_trace(chunk, parser)
 
     @property
     def duration(self) -> float:
@@ -127,27 +132,32 @@ class PacketTrace:
 
     @classmethod
     def load(cls, path: str) -> "PacketTrace":
-        """Read a classic pcap file (little- or big-endian, µs resolution).
+        """Read a classic pcap file.
+
+        Accepts either byte order at microsecond (``0xa1b2c3d4``) or
+        nanosecond (``0xa1b23c4d``) resolution.
 
         Raises:
-            ValueError: if the file is not a classic pcap capture.
+            ValueError: if the file is pcapng, not a classic pcap capture,
+                or truncated.
         """
         with open(path, "rb") as handle:
             blob = handle.read()
+        if blob[:4] == _PCAPNG_MAGIC:
+            raise ValueError(f"{path}: pcapng is not supported (classic pcap only)")
         if len(blob) < _GLOBAL_HEADER.size:
             raise ValueError(f"{path}: truncated pcap header")
-        magic_le = struct.unpack("<I", blob[:4])[0]
-        if magic_le == _PCAP_MAGIC:
-            endian = "<"
-        elif struct.unpack(">I", blob[:4])[0] == _PCAP_MAGIC:
-            endian = ">"
+        for endian in "<>":
+            scale = _FRACTION_SCALE.get(struct.unpack(endian + "I", blob[:4])[0])
+            if scale is not None:
+                break
         else:
             raise ValueError(f"{path}: not a classic pcap file")
         record_header = struct.Struct(endian + "IIII")
         offset = _GLOBAL_HEADER.size
         records: List[TraceRecord] = []
         while offset + record_header.size <= len(blob):
-            seconds, micros, caplen, _origlen = record_header.unpack_from(
+            seconds, fraction, caplen, _origlen = record_header.unpack_from(
                 blob, offset
             )
             offset += record_header.size
@@ -155,9 +165,7 @@ class PacketTrace:
             if len(data) != caplen:
                 raise ValueError(f"{path}: truncated packet record")
             offset += caplen
-            records.append(
-                TraceRecord(timestamp=seconds + micros / 1_000_000, data=data)
-            )
+            records.append(TraceRecord(timestamp=seconds + fraction / scale, data=data))
         return cls(records)
 
 

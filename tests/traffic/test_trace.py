@@ -54,6 +54,40 @@ class TestPcapRoundTrip:
         assert loaded.records[0].timestamp == pytest.approx(7.5)
         assert loaded.records[0].data == payload
 
+    def test_microsecond_timestamps_load_exactly(self, tmp_path):
+        path = str(tmp_path / "t.pcap")
+        trace = PacketTrace()
+        for i in range(5):
+            trace.append(1.5 + i * 0.123457, b"\x00" * 14)
+        trace.save(path)
+        loaded = PacketTrace.load(path)
+        for original, reloaded in zip(trace, loaded):
+            seconds = int(original.timestamp)
+            micros = int(round((original.timestamp - seconds) * 1_000_000))
+            assert reloaded.timestamp == seconds + micros / 1_000_000
+
+    @pytest.mark.parametrize("endian", ["<", ">"])
+    def test_nanosecond_magic_load(self, tmp_path, endian):
+        path = str(tmp_path / "ns.pcap")
+        payload = b"\xbb" * 20
+        with open(path, "wb") as handle:
+            handle.write(struct.pack(endian + "IHHiIII", 0xA1B23C4D, 2, 4, 0, 0, 65535, 1))
+            handle.write(struct.pack(endian + "IIII", 7, 250_000_001, len(payload), len(payload)))
+            handle.write(payload)
+        loaded = PacketTrace.load(path)
+        assert len(loaded) == 1
+        assert loaded.records[0].timestamp == 7 + 250_000_001 / 1_000_000_000
+        assert loaded.records[0].data == payload
+
+    def test_pcapng_rejected_explicitly(self, tmp_path):
+        path = str(tmp_path / "x.pcapng")
+        # Section header block: type, length, byte-order magic, v1.0, section length.
+        block = struct.pack("<IIIHHq", 0x0A0D0D0A, 28, 0x1A2B3C4D, 1, 0, -1)
+        with open(path, "wb") as handle:
+            handle.write(block + struct.pack("<I", 28))
+        with pytest.raises(ValueError, match="pcapng is not supported"):
+            PacketTrace.load(path)
+
     def test_not_pcap_rejected(self, tmp_path):
         path = str(tmp_path / "x.bin")
         with open(path, "wb") as handle:
